@@ -6,7 +6,7 @@ as future work) that this reproduction implements:
 
 1. **link/switch failure repair** — trees routed over a dead link are
    rebuilt over the surviving fabric and their paths re-installed;
-2. **overload reaction** — a utilization sampler spots a hot link and the
+2. **overload reaction** — a link-utilization probe spots a hot link and the
    controller moves the busiest tree onto an alternative route.
 
 Run:  python examples/failover_demo.py
@@ -20,7 +20,7 @@ from repro import (
     paper_fat_tree,
 )
 from repro.controller.overload import OverloadManager
-from repro.network.stats import LinkUtilizationSampler
+from repro.obs.samplers import LinkUtilizationProbe
 
 
 def drive(middleware, publisher, events, interval=1e-3):
@@ -46,7 +46,9 @@ def main() -> None:
 
     manager = OverloadManager(
         controller=middleware.controllers[0],
-        sampler=LinkUtilizationSampler(middleware.network),
+        probe=LinkUtilizationProbe(
+            middleware.network, middleware.obs.registry
+        ),
         threshold=0.5,
     )
 

@@ -51,6 +51,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from collections.abc import Iterator, Sequence
@@ -85,6 +86,19 @@ _CHAOS_TOPOLOGIES = {**_TOPOLOGIES, "fat-tree": paper_fat_tree}
 
 def _topology(name: str) -> Topology:
     return _TOPOLOGIES[name]()
+
+
+def _period(text: str) -> float:
+    """argparse type for sim-time periods: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=int, default=0)
     stats.add_argument(
         "--period",
-        type=float,
+        type=_period,
         default=0.01,
         metavar="SECONDS",
         help="statistics polling period in sim time (default 10 ms)",
@@ -273,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
         "--probe-period",
-        type=float,
+        type=_period,
         default=None,
         metavar="SECONDS",
         help="detector probe period (default 2 ms of sim time)",

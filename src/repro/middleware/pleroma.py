@@ -40,22 +40,13 @@ from repro.network.packet import EventPayload, Packet, event_packet_size
 from repro.network.topology import Topology, partition_switches
 from repro.obs.context import Observability
 from repro.sim.engine import Simulator
+from repro.sim.periodic import PeriodicTimer
 
 if TYPE_CHECKING:
     from repro.resilience.detector import FailureDetector
     from repro.resilience.orchestrator import RecoveryOrchestrator
 
 __all__ = ["Pleroma"]
-
-
-class _DimselRecurrence:
-    """Cancellation handle for periodic dimension selection."""
-
-    def __init__(self, middleware: "Pleroma") -> None:
-        self._middleware = middleware
-
-    def cancel(self) -> None:
-        self._middleware._cancel_dimsel()
 
 
 class Pleroma:
@@ -120,10 +111,10 @@ class Pleroma:
             )
         self.metrics = MetricsCollector(registry=self.obs.registry)
         self.monitor: TrafficMonitor | None = None
-        self._dimsel_period: float | None = None
-        self._dimsel_k: int | None = None
-        self._dimsel_handle = None
         self._dimsel_new_events = 0
+        # every traffic-driven timer started through this facade (samplers,
+        # telemetry poller, dimension selection); publish pokes them all
+        self._timers: list[PeriodicTimer] = []
         self._subscribers: dict[str, Subscriber] = {}
         self._host_subs: dict[str, dict[int, Subscription]] = {}
         for host in topology.hosts():
@@ -212,12 +203,11 @@ class Pleroma:
             )
         )
         self.metrics.on_publish(self.sim.now)
-        self.obs.poke_samplers()
+        for timer in self._timers:
+            timer.poke()
         if self.monitor is not None:
             self.monitor.record_event(event)
             self._dimsel_new_events += 1
-            if self._dimsel_period is not None and self._dimsel_handle is None:
-                self._arm_dimsel()
 
     def publish_stream(
         self,
@@ -364,51 +354,32 @@ class Pleroma:
 
     def schedule_dimension_selection(
         self, period_s: float, k: int | None = None
-    ) -> "_DimselRecurrence":
+    ) -> PeriodicTimer:
         """Re-run dimension selection every ``period_s`` of simulated time.
 
         This is the paper's adaptive mode: "a controller periodically
         collects information about the events disseminated in the recent
         time window and repeats the dimension selection process."
 
-        The recurrence is traffic-driven: when a period elapses with no new
-        publications, it pauses (so draining the simulator terminates) and
-        re-arms automatically on the next publish.  Returns a handle whose
-        ``cancel()`` stops it for good.
+        The returned :class:`~repro.sim.periodic.PeriodicTimer` is
+        traffic-driven: it pauses after a period without publications (so
+        draining the simulator terminates) and re-arms on the next
+        publish; a round with no new event since the last one skips
+        reselection.  ``stop()`` ends it for good.
         """
         if self.monitor is None:
             raise ControllerError(
                 "call enable_dimension_selection() before scheduling"
             )
-        if period_s <= 0:
-            raise ControllerError("period must be positive")
-        self._dimsel_period = period_s
-        self._dimsel_k = k
+        timer = PeriodicTimer(self.sim, period_s, lambda: self._dimsel_tick(k))
         self._dimsel_new_events = 0
-        self._arm_dimsel()
-        return _DimselRecurrence(self)
+        self._timers.append(timer)
+        return timer.start()
 
-    def _arm_dimsel(self) -> None:
-        self._dimsel_handle = self.sim.schedule(
-            self._dimsel_period, self._dimsel_tick
-        )
-
-    def _dimsel_tick(self) -> None:
-        if self._dimsel_period is None:
-            return
+    def _dimsel_tick(self, k: int | None) -> None:
         if self._dimsel_new_events:
             self._dimsel_new_events = 0
-            self.reselect_dimensions(k=self._dimsel_k)
-            self._arm_dimsel()
-        else:
-            # quiet period: pause; the next publish re-arms the timer
-            self._dimsel_handle = None
-
-    def _cancel_dimsel(self) -> None:
-        self._dimsel_period = None
-        if self._dimsel_handle is not None:
-            self._dimsel_handle.cancel()
-            self._dimsel_handle = None
+            self.reselect_dimensions(k=k)
 
     def reselect_dimensions(self, k: int | None = None) -> DimensionSelection:
         """Run one selection round and re-deploy the network accordingly."""
@@ -451,7 +422,9 @@ class Pleroma:
     def enable_sampling(self, period_s: float = 0.01):
         """Sample link utilization and TCAM occupancy every ``period_s``
         of simulated time (pauses in quiet periods; publishing re-arms)."""
-        return self.obs.start_sampling(self.network, period_s)
+        sampler = self.obs.start_sampling(self.network, period_s)
+        self._timers.append(sampler)
+        return sampler
 
     def enable_telemetry(
         self,
@@ -492,15 +465,10 @@ class Pleroma:
         channel = ControlChannel(
             self.sim, registry=self.obs.registry, **kwargs
         )
+        switches = sorted(self.network.switches)
         port_peers: dict = {}
-        for name in sorted(self.network.switches):
+        for name in switches:
             switch = self.network.switches[name]
-            prev = switch.control_handler
-            handler = None
-            if prev is not None:
-                def handler(message, _prev=prev, _sw=switch):
-                    _prev(_sw, message.packet, message.in_port)
-            channel.connect(switch, handler)
             for port, link in sorted(switch.ports.items()):
                 peer, peer_port = link.endpoint_for(switch)
                 port_peers[(name, port)] = (
@@ -508,14 +476,26 @@ class Pleroma:
                     peer_port,
                     peer.name in self.network.switches,
                 )
+        # the poller validates its period before any switch is rewired
         poller = StatsPoller(
             self.sim,
             channel,
             self.obs.registry,
             period_s=period_s,
+            targets=switches,
             port_peers=port_peers,
             top_k=top_k,
-        ).start()
+        )
+        for name in switches:
+            switch = self.network.switches[name]
+            prev = switch.control_handler
+            handler = None
+            if prev is not None:
+                def handler(message, _prev=prev, _sw=switch):
+                    _prev(_sw, message.packet, message.in_port)
+            channel.connect(switch, handler)
+        poller.start()
+        self._timers.append(poller)
         engine = AlertEngine(
             registry=self.obs.registry,
             rules=tuple(rules) if rules is not None else DEFAULT_ALERT_RULES,

@@ -23,6 +23,7 @@ from repro.obs.samplers import (
     TcamOccupancyProbe,
 )
 from repro.obs.trace import Tracer
+from repro.sim.periodic import PeriodicTimer
 
 __all__ = ["Observability", "live_observabilities"]
 
@@ -43,7 +44,8 @@ class Observability:
         self.sim = sim
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = Tracer(clock=lambda: sim.now)
-        self.samplers: list[PeriodicSampler] = []
+        # periodic samplers and the telemetry poller
+        self.samplers: list[PeriodicTimer] = []
         self.flight: FlightRecorder | None = None
         self._flight_network = None
         # in-band telemetry (repro.obs.telemetry / repro.obs.alerts);
@@ -60,21 +62,15 @@ class Observability:
     # ------------------------------------------------------------------
     def start_sampling(self, network, period_s: float) -> PeriodicSampler:
         """Begin periodic link-utilization and TCAM-occupancy sampling."""
-        sampler = PeriodicSampler(
-            self.sim,
-            period_s,
-            [
-                LinkUtilizationProbe(network, self.registry),
-                TcamOccupancyProbe(network, self.registry),
-            ],
-        )
+        # built empty first: a rejected period must not leave the probes'
+        # histograms behind in the registry
+        sampler = PeriodicSampler(self.sim, period_s, ())
+        sampler.probes = [
+            LinkUtilizationProbe(network, self.registry),
+            TcamOccupancyProbe(network, self.registry),
+        ]
         self.samplers.append(sampler)
         return sampler.start()
-
-    def poke_samplers(self) -> None:
-        """Re-arm samplers paused by a quiet period (call on traffic)."""
-        for sampler in self.samplers:
-            sampler.poke()
 
     def stop_sampling(self) -> None:
         for sampler in self.samplers:
@@ -88,9 +84,10 @@ class Observability:
         (and optionally an :class:`~repro.obs.alerts.AlertEngine`) with
         this bundle.
 
-        The poller joins the sampler list so traffic pokes re-arm it, and
-        the engine (if any) is subscribed to completed poll rounds.  The
-        snapshot document then grows ``telemetry`` / ``alerts`` sections.
+        The poller joins the sampler list (so :meth:`stop_sampling` stops
+        it) and the engine (if any) is subscribed to completed poll
+        rounds.  The snapshot document then grows ``telemetry`` /
+        ``alerts`` sections.
         """
         self.telemetry = poller
         self.alerts = engine

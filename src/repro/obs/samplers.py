@@ -1,11 +1,9 @@
 """Periodic samplers driven by the simulator clock.
 
-A :class:`PeriodicSampler` reschedules itself on the discrete-event engine
-and runs its probes every ``period_s`` of *simulated* time.  To keep
-``sim.run()`` terminating, the sampler pauses whenever a whole period
-passes in which the simulator executed nothing but the sampler's own tick
-(a quiet network); traffic sources re-arm it via :meth:`poke` (the
-``Pleroma`` facade does this on every publish).
+A :class:`PeriodicSampler` is a :class:`~repro.sim.periodic.PeriodicTimer`
+whose tick runs its probes, every ``period_s`` of *simulated* time while
+traffic pokes it (see that module for the one "quiet" rule every timer
+follows; the ``Pleroma`` facade pokes on every publish).
 
 Two probes ship with the middleware:
 
@@ -16,18 +14,17 @@ Two probes ship with the middleware:
 
 Probes write gauges (latest value) and histograms (distribution over the
 run) into the shared :class:`~repro.obs.registry.MetricsRegistry`.  The
-module only duck-types the simulator and network to stay at the bottom of
-the layer stack.
+module only duck-types the network to stay at the bottom of the layer
+stack.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
-from repro.exceptions import TopologyError
 from repro.obs.registry import OCCUPANCY_BUCKETS, MetricsRegistry
+from repro.sim.periodic import PeriodicTimer
 
 __all__ = [
     "PeriodicSampler",
@@ -48,77 +45,28 @@ class LinkSample:
     bytes_delta: int
 
 
-class PeriodicSampler:
-    """Runs probes every ``period_s`` of sim time; pauses when idle."""
+class PeriodicSampler(PeriodicTimer):
+    """Runs probes every ``period_s`` of sim time; pauses when quiet."""
 
     def __init__(self, sim, period_s: float, probes: Iterable[Probe]) -> None:
-        if period_s <= 0:
-            raise ValueError("sampling period must be positive")
-        self.sim = sim
-        self.period_s = period_s
+        super().__init__(sim, period_s, self._sample)
         self.probes = list(probes)
-        self.ticks = 0
-        self._handle = None
-        self._started = False
-        self._processed_at_arm = 0
 
-    # ------------------------------------------------------------------
-    def start(self) -> "PeriodicSampler":
-        self._started = True
-        if self._handle is None:
-            self._arm()
-        return self
-
-    def stop(self) -> None:
-        self._started = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def poke(self) -> None:
-        """Re-arm a sampler paused by a quiet period (called on traffic)."""
-        if self._started and self._handle is None:
-            self._arm()
-
-    @property
-    def running(self) -> bool:
-        return self._handle is not None
-
-    # ------------------------------------------------------------------
-    def _arm(self) -> None:
-        self._processed_at_arm = self.sim.processed_events
-        self._handle = self.sim.schedule(self.period_s, self._tick)
-
-    def _tick(self) -> None:
-        self._handle = None
-        self.ticks += 1
+    def _sample(self) -> None:
         for probe in self.probes:
             probe(self.sim.now)
-        # Only the tick itself ran since arming: the network is quiet —
-        # pause so draining the event queue terminates.
-        if self.sim.processed_events - self._processed_at_arm > 1:
-            self._arm()
 
 
 class LinkUtilizationProbe:
     """Samples switch-to-switch link load into the registry.
 
     Per link: gauge ``link.utilization{link=a<->b}`` (load during the last
-    window), one shared histogram ``link.utilization`` of every sample,
-    and a bounded per-link :class:`LinkSample` history readable through
-    :meth:`latest` / :meth:`history` / :meth:`hottest`.
-
-    This is the single link-utilization implementation; the legacy
-    ``repro.network.stats.LinkUtilizationSampler`` is a deprecation shim
-    delegating here.
+    window) and one shared histogram ``link.utilization`` of every sample.
+    Each call also returns the new :class:`LinkSample` per link, which is
+    what :class:`~repro.controller.overload.OverloadManager` acts on.
     """
 
-    def __init__(
-        self,
-        network,
-        registry: MetricsRegistry,
-        history_maxlen: int = 256,
-    ) -> None:
+    def __init__(self, network, registry: MetricsRegistry) -> None:
         self.network = network
         self.registry = registry
         self._last_bytes: dict[str, int] = {}
@@ -127,10 +75,8 @@ class LinkUtilizationProbe:
             (("<->".join(sorted(key)), key) for key in network.links
              if all(name in network.switches for name in key)),
         )
-        self._histories: dict[frozenset, deque[LinkSample]] = {}
         for label, key in self._keys:
             self._last_bytes[label] = network.links[key].total_bytes
-            self._histories[key] = deque(maxlen=history_maxlen)
         self._histogram = registry.histogram(
             "link.utilization", OCCUPANCY_BUCKETS
         )
@@ -153,43 +99,11 @@ class LinkUtilizationProbe:
                 utilization
             )
             self._histogram.observe(utilization)
-            sample = LinkSample(
+            results[key] = LinkSample(
                 time=now, utilization=utilization, bytes_delta=delta
             )
-            self._histories[key].append(sample)
-            results[key] = sample
         self._last_time = now
         return results
-
-    # ------------------------------------------------------------------
-    # history accessors (the former LinkUtilizationSampler API)
-    # ------------------------------------------------------------------
-    def latest(self, a: str, b: str) -> LinkSample:
-        history = self._histories.get(frozenset((a, b)))
-        if history is None or not history:
-            raise TopologyError(f"no samples for link {a!r}<->{b!r}")
-        return history[-1]
-
-    def history(self, a: str, b: str) -> list[LinkSample]:
-        history = self._histories.get(frozenset((a, b)))
-        if history is None:
-            raise TopologyError(f"unknown link {a!r}<->{b!r}")
-        return list(history)
-
-    def hottest(self) -> tuple[frozenset, LinkSample]:
-        """The link with the highest latest utilization."""
-        best_key = None
-        best: LinkSample | None = None
-        for _label, key in self._keys:
-            history = self._histories[key]
-            if not history:
-                continue
-            sample = history[-1]
-            if best is None or sample.utilization > best.utilization:
-                best_key, best = key, sample
-        if best is None or best_key is None:
-            raise TopologyError("no samples taken yet")
-        return best_key, best
 
 
 class TcamOccupancyProbe:

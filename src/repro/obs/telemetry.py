@@ -27,9 +27,10 @@ and every exporter sees them.  :func:`reconcile_with_oracle` — the one
 deliberately oracle-using function here, for evaluation only — quantifies
 how stale/wrong the polled view is versus the ground truth.
 
-The poller is traffic-driven like every sampler in this codebase: it
-pauses after a poll round in which no publish poked it, so draining the
-simulator terminates, and re-arms on the next poke.
+The poller is a :class:`~repro.sim.periodic.PeriodicTimer` like every
+sampler in this codebase: it pauses after a poll round in which no publish
+poked it, so draining the simulator terminates, and re-arms on the next
+poke.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from repro.network.openflow import (
     TableStatsRequest,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.sim.periodic import PeriodicTimer
 
 __all__ = ["StatsPoller", "SwitchTelemetry", "reconcile_with_oracle"]
 
@@ -94,13 +96,15 @@ class SwitchTelemetry:
         return self.flows_at - self.prev_flows_at
 
 
-class StatsPoller:
+class StatsPoller(PeriodicTimer):
     """Polls switches for OpenFlow statistics on the sim-time engine.
 
     ``targets`` defaults to every switch connected to ``channel``;
     ``port_peers`` maps ``(switch, port)`` to ``(peer, peer_port,
     peer_is_switch)`` — wiring knowledge a controller legitimately has
     from topology configuration, used for loss/skew attribution.
+    ``start`` / ``stop`` / ``poke`` / ``running`` / ``ticks`` come from
+    :class:`~repro.sim.periodic.PeriodicTimer`.
     """
 
     def __init__(
@@ -113,12 +117,9 @@ class StatsPoller:
         port_peers: dict[tuple[str, int], tuple[str, int, bool]] | None = None,
         top_k: int = 5,
     ) -> None:
-        if period_s <= 0:
-            raise ValueError("polling period must be positive")
-        self.sim = sim
+        super().__init__(sim, period_s, self._tick)
         self.channel = channel
         self.registry = registry
-        self.period_s = period_s
         self.top_k = top_k
         self._targets: list[str] = sorted(
             channel.connected_switches() if targets is None else targets
@@ -128,7 +129,6 @@ class StatsPoller:
             name: SwitchTelemetry(name=name) for name in self._targets
         }
         # round bookkeeping
-        self.ticks = 0
         self.rounds_started = 0
         self.rounds_completed = 0
         self._pending: dict[int, tuple[int, str, float]] = {}
@@ -140,52 +140,14 @@ class StatsPoller:
         #: called as listener(now) after each completed poll round —
         #: the alert engine subscribes here.
         self.round_listeners: list[Callable[[float], None]] = []
-        self._handle = None
-        self._started = False
-        self._traffic_since_arm = False
         channel.reply_listeners.append(self._on_reply)
 
-    # ------------------------------------------------------------------
-    # sampler lifecycle (poke/pause like PeriodicSampler)
-    # ------------------------------------------------------------------
-    def start(self) -> "StatsPoller":
-        self._started = True
-        if self._handle is None:
-            self._arm()
-        return self
-
-    def stop(self) -> None:
-        self._started = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def poke(self) -> None:
-        """Note data-plane traffic; re-arms a poller paused by quiet."""
-        if not self._started:
-            return
-        if self._handle is None:
-            self._arm()
-        else:
-            self._traffic_since_arm = True
-
-    @property
-    def running(self) -> bool:
-        return self._handle is not None
-
-    def _arm(self) -> None:
-        self._traffic_since_arm = False
-        self._handle = self.sim.schedule(self.period_s, self._tick)
-
     def _tick(self) -> None:
-        self._handle = None
-        self.ticks += 1
-        # Always poll — the closing round still captures the quiet tail —
-        # but only re-arm when traffic arrived during the last window, so
-        # draining the event queue terminates.
+        # Every tick polls — the closing round still captures the quiet
+        # tail; the timer decides whether another tick follows.  A named
+        # method (not poll_now itself) so profiles can tell timer-driven
+        # rounds from explicit ones.
         self.poll_now()
-        if self._traffic_since_arm:
-            self._arm()
 
     # ------------------------------------------------------------------
     # polling

@@ -8,8 +8,8 @@ from repro.core.subscription import Advertisement, Subscription
 from repro.exceptions import ControllerError
 from repro.middleware.pleroma import Pleroma
 from repro.network.fabric import NetworkParams
-from repro.network.stats import LinkUtilizationSampler
 from repro.network.topology import paper_fat_tree
+from repro.obs.samplers import LinkUtilizationProbe
 
 FULL = (0, 1023)
 
@@ -25,10 +25,11 @@ def build(bandwidth=8e6):
     publisher.advertise(Advertisement.of(attr0=FULL).filter)
     subscriber = middleware.subscriber("h8")
     subscriber.subscribe(Subscription.of(attr0=FULL).filter)
-    sampler = LinkUtilizationSampler(middleware.network)
     manager = OverloadManager(
         controller=middleware.controllers[0],
-        sampler=sampler,
+        probe=LinkUtilizationProbe(
+            middleware.network, middleware.obs.registry
+        ),
         threshold=0.5,
     )
     return middleware, publisher, subscriber, manager
@@ -90,7 +91,9 @@ class TestDetection:
         with pytest.raises(ControllerError):
             OverloadManager(
                 controller=middleware.controllers[0],
-                sampler=LinkUtilizationSampler(middleware.network),
+                probe=LinkUtilizationProbe(
+                    middleware.network, middleware.obs.registry
+                ),
                 threshold=0.0,
             )
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.events import Event
 from repro.core.subscription import Filter
-from repro.exceptions import ControllerError
+from repro.exceptions import ControllerError, SimulationError
 from repro.middleware.pleroma import Pleroma
 from repro.network.topology import line
 
@@ -27,7 +27,7 @@ class TestScheduling:
 
     def test_invalid_period(self):
         middleware, _ = build()
-        with pytest.raises(ControllerError):
+        with pytest.raises(SimulationError):
             middleware.schedule_dimension_selection(0.0)
 
     def test_rounds_fire_on_period(self):
@@ -62,7 +62,7 @@ class TestScheduling:
         handle = middleware.schedule_dimension_selection(0.1, k=2)
         middleware.run(until=0.15)
         rounds_before = middleware.monitor.rounds
-        handle.cancel()
+        handle.stop()
         middleware.run(until=2.0)
         assert middleware.monitor.rounds == rounds_before
 

@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.addressing import dz_to_address
 from repro.core.dz import Dz
-from repro.network.fabric import Network
+from repro.exceptions import SimulationError
+from repro.network.fabric import Network, NetworkParams
 from repro.network.flow import Action, FlowEntry
 from repro.network.packet import Packet
 from repro.network.topology import line
 from repro.obs.context import Observability
-from repro.obs.samplers import PeriodicSampler
+from repro.obs.registry import MetricsRegistry
+from repro.obs.samplers import LinkUtilizationProbe, PeriodicSampler
 from repro.sim.engine import Simulator
 
 
@@ -39,7 +41,7 @@ def inject(sim, net, count=5, spacing=1e-3):
 class TestPeriodicSampler:
     def test_rejects_bad_period(self, rig):
         sim, _, _ = rig
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             PeriodicSampler(sim, 0.0, [])
 
     def test_pauses_when_quiet_so_run_terminates(self, rig):
@@ -57,7 +59,7 @@ class TestPeriodicSampler:
         sim.run()
         ticks_before = sampler.ticks
         inject(sim, net, count=3, spacing=2e-3)
-        obs.poke_samplers()
+        sampler.poke()
         sim.run()
         assert sampler.ticks > ticks_before
 
@@ -104,3 +106,66 @@ class TestProbes:
         assert occupancy == pytest.approx(
             flows / net.switches["R1"].table.capacity
         )
+
+
+@pytest.fixture
+def loaded():
+    """line(3) at 1 MB/s with a flow R1 -> R2 -> h2 for dz "1"."""
+    sim = Simulator()
+    net = Network(
+        sim,
+        line(3, hosts_per_switch=1),
+        params=NetworkParams(bandwidth_bps=8e6),
+    )
+    net.switches["R1"].table.install(
+        FlowEntry.for_dz(Dz("1"), {Action(net.port("R1", "R2"))})
+    )
+    net.switches["R2"].table.install(
+        FlowEntry.for_dz(
+            Dz("1"),
+            {Action(net.port("R2", "h2"), set_dest=net.hosts["h2"].address)},
+        )
+    )
+    return sim, net, LinkUtilizationProbe(net, MetricsRegistry())
+
+
+def blast(sim, net, packets: int, size: int = 1000, interval: float = 1e-3):
+    for i in range(packets):
+        sim.schedule(
+            i * interval,
+            net.hosts["h1"].send,
+            Packet(
+                dst_address=dz_to_address(Dz("1")),
+                payload=None,
+                size_bytes=size,
+            ),
+        )
+    sim.run()
+
+
+class TestLinkUtilizationProbe:
+    def test_only_switch_links_tracked(self, loaded):
+        sim, net, probe = loaded
+        samples = probe(sim.now)
+        assert all(
+            all(name in net.switches for name in key) for key in samples
+        )
+        assert len(samples) == 2  # R1-R2 and R2-R3
+
+    def test_utilization_measured(self, loaded):
+        sim, net, probe = loaded
+        # 100 packets x 1000 B over 0.1 s on an 8 Mbit/s link = 100% load
+        blast(sim, net, 100, size=1000, interval=1e-3)
+        samples = probe(sim.now)
+        hot = samples[frozenset(("R1", "R2"))]
+        assert hot.utilization == pytest.approx(1.0, rel=0.15)
+        assert samples[frozenset(("R2", "R3"))].utilization == 0.0
+
+    def test_windows_are_deltas(self, loaded):
+        sim, net, probe = loaded
+        blast(sim, net, 50)
+        assert probe(sim.now)[frozenset(("R1", "R2"))].utilization > 0.0
+        # quiet window: utilization drops to zero
+        sim.run(until=sim.now + 1.0)
+        samples = probe(sim.now)
+        assert samples[frozenset(("R1", "R2"))].utilization == 0.0

@@ -14,6 +14,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["stats", "--period", "0"],
+            ["stats", "--period", "-0.01"],
+            ["stats", "--period", "nan"],
+            ["stats", "--period", "inf"],
+            ["stats", "--period", "soon"],
+            ["chaos", "--probe-period", "0"],
+            ["chaos", "--probe-period", "nan"],
+        ],
+    )
+    def test_bad_period_is_a_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "finite number of seconds > 0" in capsys.readouterr().err
+
+    def test_period_accepts_positive_seconds(self):
+        args = build_parser().parse_args(["stats", "--period", "0.005"])
+        assert args.period == 0.005
+
 
 class TestInfo:
     def test_default_topology(self, capsys):
